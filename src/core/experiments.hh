@@ -329,9 +329,14 @@ struct FaultCampaignRow
  * faults stop the machine and count as detections. `jobs` parallelizes
  * the workload x injection grid; the tallies are identical for any
  * value because each run's RNG depends only on (seed, workload, run).
+ * Without `recovery`, runs fork off one golden run per group of
+ * slots: it pauses at each flip time, is snapshotted, takes the flip,
+ * runs to its classification and is restored — the prefix before the
+ * flip is never re-executed, and every outcome equals the slot's
+ * from-scratch run.
  * `streaming` selects the aggregation mode: true streams outcomes into
  * the fixed-size per-workload tallies chunk by chunk (peak memory
- * independent of `injections` — see ParallelRunner::reduceChunked),
+ * independent of `injections` — see ParallelRunner::reduceChunks),
  * false materializes the flat outcome vector first. Both modes produce
  * byte-identical rows for a fixed (injections, seed). `recovery`
  * enables checkpoint/rollback re-execution of detected runs (see
@@ -408,6 +413,7 @@ struct FaultRepro
     uint64_t targetInstructions = 0; //!< where the run was detected/ended
     uint32_t targetPc = 0;
     FaultOutcome outcome = FaultOutcome::Masked;
+    unsigned target = 0; //!< drawn fault target (see faultTargetName)
     std::string note; //!< injection + outcome description
 };
 

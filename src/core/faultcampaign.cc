@@ -15,6 +15,8 @@
 
 #include "core/experiments.hh"
 
+#include <algorithm>
+
 #include "core/parallel.hh"
 #include "core/table.hh"
 #include "sim/fault.hh"
@@ -158,6 +160,63 @@ setCampaignJitChain(bool enabled)
     campaignEngine.jitChain = enabled;
 }
 
+namespace {
+
+/**
+ * Everything the injected runs of one workload share: its immutable
+ * ProgramImage (every run attaches it copy-on-write, so only mutated
+ * pages are ever private), its oracle result, the uninjected baseline
+ * (the horizon for injection times) and the campaign options with a
+ * watchdog budget sized from that baseline.
+ */
+struct Prepared
+{
+    sim::ProgramImage image;
+    uint32_t expected = 0;
+    sim::ExecResult base;
+    sim::CpuOptions opts;
+};
+
+/** Build `wl`'s image, then run and oracle-check its baseline. */
+Prepared
+prepareWorkload(const Workload &wl)
+{
+    Prepared p;
+    p.image = sim::ProgramImage(workloads::buildRisc(wl, wl.defaultScale));
+    p.expected = wl.expected(wl.defaultScale);
+    p.opts = campaignCpuOptions();
+    sim::Cpu baseline(p.opts);
+    baseline.load(p.image);
+    p.base = baseline.run();
+    if (!p.base.halted() ||
+        baseline.memory().peek32(workloads::ResultAddr) != p.expected)
+        fatal("faultCampaign: baseline run of %s is broken",
+              wl.name.c_str());
+    // Generous livelock budget: a run this far past its healthy cycle
+    // count is never coming back.
+    p.opts.watchdogCycles = p.base.cycles * 8 + 100'000;
+    return p;
+}
+
+/** One plain-mode grid slot, drawn and waiting for its forked run. */
+struct DrawnSlot
+{
+    size_t offset = 0;   //!< index into the chunk's outcome buffer
+    size_t prepared = 0; //!< index into the campaign's Prepared list
+    sim::Injection inj;
+    Rng rng; //!< the slot's stream, just past drawInjection
+};
+
+/** Contiguous DrawnSlots [begin, end) of one workload, run on one Cpu. */
+struct ForkUnit
+{
+    size_t begin = 0;
+    size_t end = 0;
+    uint64_t cost = 0; //!< baseline instructions x slots
+};
+
+} // namespace
+
 std::vector<FaultCampaignRow>
 faultCampaignRange(unsigned injections, uint64_t seed, uint64_t first,
                    uint64_t last, unsigned jobs, bool streaming,
@@ -182,44 +241,13 @@ faultCampaignRange(unsigned injections, uint64_t seed, uint64_t first,
         return rows;
 
     // Phase 1 — per-workload setup, restricted to the workloads the
-    // range actually touches. Each covered workload is assembled ONCE
-    // into an immutable shared ProgramImage (pages + predecoded text);
-    // the baseline and every injected run attach it copy-on-write, so
-    // only the mutated pages are ever private. The uninjected baseline
-    // is the horizon for injection times and the yardstick for the
-    // watchdog budget; every injected run of workload w reuses its
-    // Prepared.
-    struct Prepared
-    {
-        sim::ProgramImage image;
-        uint32_t expected = 0;
-        sim::ExecResult base;
-        sim::CpuOptions opts;
-    };
+    // range actually touches; every injected run of workload w reuses
+    // its Prepared.
     const size_t w_first = first / injections;
     const size_t w_count = (last - 1) / injections - w_first + 1;
     const std::vector<Prepared> prepared =
         runner.map<Prepared>(w_count, [&](size_t idx) {
-            const size_t w = w_first + idx;
-            const Workload &wl = suite[w];
-            Prepared p;
-            p.image = sim::ProgramImage(
-                workloads::buildRisc(wl, wl.defaultScale));
-            p.expected = wl.expected(wl.defaultScale);
-            sim::CpuOptions base_opts = campaignCpuOptions();
-            sim::Cpu baseline(base_opts);
-            baseline.load(p.image);
-            p.base = baseline.run();
-            if (!p.base.halted() ||
-                baseline.memory().peek32(workloads::ResultAddr) !=
-                    p.expected)
-                fatal("faultCampaign: baseline run of %s is broken",
-                      wl.name.c_str());
-            p.opts = campaignCpuOptions();
-            // Generous livelock budget: a run this far past its healthy
-            // cycle count is never coming back.
-            p.opts.watchdogCycles = p.base.cycles * 8 + 100'000;
-            return p;
+            return prepareWorkload(suite[w_first + idx]);
         });
 
     for (size_t idx = 0; idx < w_count; ++idx) {
@@ -236,12 +264,98 @@ faultCampaignRange(unsigned injections, uint64_t seed, uint64_t first,
     // run), so the outcomes — and therefore the tallies — are
     // identical for any job count, either aggregation mode, and any
     // partition of the grid into ranges.
-    const auto produce = [&](size_t i) {
-        const uint64_t slot = first + i;
+    //
+    // Plain mode forks every injected run off one advancing golden
+    // run instead of re-executing the fault-free prefix from
+    // instruction 0. A chunk's slots are drawn up front, grouped by
+    // workload, sorted by injection time and split into at most
+    // `jobs` contiguous units per workload. A unit loads one Cpu and,
+    // for each slot in ascending time, advances the golden run to the
+    // flip, snapshots it, applies the flip, runs the faulted machine
+    // to its classification and restores the golden state for the
+    // next slot. runUntil pauses exactly on every engine and restore
+    // reinstates the complete architectural state, so each outcome
+    // equals the slot's from-scratch run.
+    const auto forkChunk = [&](uint64_t slot0, std::vector<RunOut> &out) {
+        std::vector<DrawnSlot> slots(out.size());
+        for (size_t i = 0; i < out.size(); ++i) {
+            const uint64_t slot = slot0 + i;
+            const size_t w = slot / injections;
+            DrawnSlot &d = slots[i];
+            d.offset = i;
+            d.prepared = w - w_first;
+            d.rng = Rng(runSeed(seed, w, slot % injections));
+            d.inj = sim::drawInjection(
+                d.rng, prepared[d.prepared].base.instructions);
+        }
+        // Slots arrive workload-major; stable, so equal times keep
+        // slot order.
+        std::stable_sort(slots.begin(), slots.end(),
+                         [](const DrawnSlot &a, const DrawnSlot &b) {
+                             return a.prepared != b.prepared
+                                        ? a.prepared < b.prepared
+                                        : a.inj.atInstruction <
+                                              b.inj.atInstruction;
+                         });
+
+        std::vector<ForkUnit> units;
+        for (size_t b = 0, e = 0; b < slots.size(); b = e) {
+            while (e < slots.size() &&
+                   slots[e].prepared == slots[b].prepared)
+                ++e;
+            const size_t n = e - b;
+            const size_t k = std::min<size_t>(runner.jobs(), n);
+            for (size_t u = 0; u < k; ++u) {
+                ForkUnit unit;
+                unit.begin = b + n * u / k;
+                unit.end = b + n * (u + 1) / k;
+                unit.cost = prepared[slots[b].prepared].base.instructions *
+                            (unit.end - unit.begin);
+                units.push_back(unit);
+            }
+        }
+        // Longest first, so no long unit starts last and tails the
+        // chunk.
+        std::stable_sort(units.begin(), units.end(),
+                         [](const ForkUnit &a, const ForkUnit &b) {
+                             return a.cost > b.cost;
+                         });
+
+        runner.run(units.size(), [&](size_t u) {
+            const ForkUnit &unit = units[u];
+            const Prepared &p = prepared[slots[unit.begin].prepared];
+            sim::Cpu cpu(p.opts);
+            cpu.load(p.image);
+            for (size_t s = unit.begin; s < unit.end; ++s) {
+                DrawnSlot &d = slots[s];
+                // The golden run is the baseline and every time is
+                // drawn below its length; a duplicate time pauses
+                // again without a step.
+                if (cpu.runUntil(d.inj.atInstruction).reason !=
+                    sim::StopReason::Paused)
+                    panic("faultCampaign: golden run ended early");
+                const sim::Snapshot golden = cpu.snapshot();
+                sim::applyInjection(cpu, d.rng, d.inj);
+                const sim::ExecResult result = cpu.run();
+                out[d.offset] = {
+                    classify(result,
+                             cpu.memory().peek32(workloads::ResultAddr),
+                             p.expected),
+                    static_cast<uint8_t>(d.inj.target)};
+                cpu.restore(golden);
+            }
+        });
+    };
+
+    // Recovery mode runs every slot from scratch: a faulted run,
+    // paused at every multiple of K retired instructions to snapshot.
+    // Pausing does not perturb the machine (every engine honours
+    // runUntil exactly) and recovery draws no randomness, so
+    // `out.outcome` is identical to the plain classification.
+    const auto runRecovered = [&](uint64_t slot) {
         const size_t w = slot / injections;
-        const uint64_t r = slot % injections;
         const Prepared &p = prepared[w - w_first];
-        Rng rng(runSeed(seed, w, r));
+        Rng rng(runSeed(seed, w, slot % injections));
         sim::Injection inj =
             sim::drawInjection(rng, p.base.instructions);
         sim::Cpu cpu(p.opts);
@@ -249,20 +363,6 @@ faultCampaignRange(unsigned injections, uint64_t seed, uint64_t first,
         RunOut out;
         out.target = static_cast<uint8_t>(inj.target);
 
-        if (!recovery.enabled) {
-            const sim::ExecResult result =
-                sim::runWithInjection(cpu, rng, inj);
-            out.outcome = classify(
-                result, cpu.memory().peek32(workloads::ResultAddr),
-                p.expected);
-            return out;
-        }
-
-        // Recovery mode: the same faulted run, but paused at every
-        // multiple of K retired instructions to snapshot. Pausing does
-        // not perturb the machine (every engine honours runUntil
-        // exactly) and recovery draws no randomness, so `out.outcome`
-        // is identical to the non-recovery classification above.
         const uint64_t K = recovery.checkpointInterval;
         sim::Snapshot ckpt = cpu.snapshot();
         uint64_t ckptAt = 0;
@@ -320,6 +420,15 @@ faultCampaignRange(unsigned injections, uint64_t seed, uint64_t first,
         return out;
     };
 
+    const auto produceChunk = [&](size_t base, std::vector<RunOut> &out) {
+        if (recovery.enabled)
+            runner.run(out.size(), [&](size_t i) {
+                out[i] = runRecovered(first + base + i);
+            });
+        else
+            forkChunk(first + base, out);
+    };
+
     const auto tally = [&](size_t i, const RunOut &out) {
         FaultCampaignRow &row = rows[(first + i) / injections];
         const unsigned c = static_cast<unsigned>(out.outcome);
@@ -336,17 +445,18 @@ faultCampaignRange(unsigned injections, uint64_t seed, uint64_t first,
     const size_t count = static_cast<size_t>(last - first);
     if (streaming) {
         // Stream outcomes straight into the fixed-size tallies: peak
-        // memory is one reduceChunked buffer, independent of
+        // memory is one reduceChunks buffer, independent of
         // `injections`, so a campaign can scale to millions of runs.
-        runner.reduceChunked<RunOut>(count, produce, tally);
+        runner.reduceChunks<RunOut>(count, produceChunk, tally);
         return rows;
     }
 
-    // Flat mode: materialize the whole outcome vector, then tally. Kept
-    // as the differential oracle for the streaming path (the tests
+    // Flat mode: materialize the whole outcome vector as one chunk,
+    // then tally. Kept as the differential oracle for the streaming
+    // path (its forked units split the grid differently; the tests
     // assert both modes agree for a fixed seed).
-    const std::vector<RunOut> outcomes =
-        runner.map<RunOut>(count, produce);
+    std::vector<RunOut> outcomes(count);
+    produceChunk(0, outcomes);
     for (size_t i = 0; i < count; ++i)
         tally(i, outcomes[i]);
     return rows;
@@ -367,36 +477,25 @@ faultCampaignRepro(uint64_t slot, unsigned injections, uint64_t seed)
     const uint64_t r = slot % injections;
     const Workload &wl = suite[w];
 
-    // The same preparation faultCampaignRange performs for workload w.
-    const sim::ProgramImage image(
-        workloads::buildRisc(wl, wl.defaultScale));
-    const uint32_t expected = wl.expected(wl.defaultScale);
-    sim::Cpu baseline(campaignCpuOptions());
-    baseline.load(image);
-    const sim::ExecResult base = baseline.run();
-    if (!base.halted() ||
-        baseline.memory().peek32(workloads::ResultAddr) != expected)
-        fatal("faultCampaignRepro: baseline run of %s is broken",
-              wl.name.c_str());
-
+    const Prepared p = prepareWorkload(wl);
     FaultRepro repro;
     repro.workload = wl.name;
-    repro.options = campaignCpuOptions();
-    repro.options.watchdogCycles = base.cycles * 8 + 100'000;
+    repro.options = p.opts;
 
     // The slot's RNG stream, bit for bit as the campaign drew it.
     Rng rng(runSeed(seed, w, r));
-    sim::Injection inj = sim::drawInjection(rng, base.instructions);
+    sim::Injection inj = sim::drawInjection(rng, p.base.instructions);
+    repro.target = static_cast<unsigned>(inj.target);
 
     sim::Cpu cpu(repro.options);
-    cpu.load(image);
+    cpu.load(p.image);
     const sim::ExecResult to_inj = cpu.runUntil(inj.atInstruction);
     if (to_inj.reason != sim::StopReason::Paused)
         fatal("faultCampaignRepro: %s ended before the injection "
               "point %llu (baseline says %llu instructions)",
               wl.name.c_str(),
               static_cast<unsigned long long>(inj.atInstruction),
-              static_cast<unsigned long long>(base.instructions));
+              static_cast<unsigned long long>(p.base.instructions));
     sim::applyInjection(cpu, rng, inj);
 
     // A fetch flip arms transient corruption of the next fetch, which
@@ -429,7 +528,7 @@ faultCampaignRepro(uint64_t slot, unsigned injections, uint64_t seed)
 
     const sim::ExecResult result = cpu.run();
     repro.outcome = classify(
-        result, cpu.memory().peek32(workloads::ResultAddr), expected);
+        result, cpu.memory().peek32(workloads::ResultAddr), p.expected);
     repro.targetInstructions = cpu.stats().instructions;
     repro.targetPc = result.reason == sim::StopReason::Fault
                          ? result.faultPc

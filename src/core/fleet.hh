@@ -5,7 +5,7 @@
  * injection grid (see faultCampaignRange) is split into fixed-size
  * seed-range shards; each shard is executed by a worker subprocess
  * (`bench_fault_campaign --seed-range A:B --shard-out FILE`, itself
- * using ParallelRunner + streaming reduceChunked tallies) or, when
+ * using ParallelRunner + streaming reduceChunks tallies) or, when
  * subprocess spawning is unavailable or disabled, in-process. Per-shard
  * tally rows are merged by summation, which is order-independent, so
  * the final tables are byte-identical to a single-process campaign at

@@ -70,13 +70,35 @@ class ParallelRunner
     reduceChunked(size_t count, Produce produce, Consume consume,
                   size_t chunk = 0) const
     {
+        reduceChunks<R>(
+            count,
+            [&](size_t base, std::vector<R> &buf) {
+                run(buf.size(),
+                    [&](size_t i) { buf[i] = produce(base + i); });
+            },
+            consume, chunk);
+    }
+
+    /**
+     * reduceChunked() with the producer called once per chunk:
+     * produce_chunk(base, buf) fills buf[0..buf.size()) with the
+     * values of indices base.. and may schedule the work itself (the
+     * fault campaign groups a chunk's runs into forked units). The
+     * same chunking, consume order and memory bound as
+     * reduceChunked(), provided each value depends only on its index.
+     */
+    template <typename R, typename ProduceChunk, typename Consume>
+    void
+    reduceChunks(size_t count, ProduceChunk produce_chunk,
+                 Consume consume, size_t chunk = 0) const
+    {
         if (chunk == 0)
             chunk = std::max<size_t>(size_t{jobs_} * 64, 1024);
         std::vector<R> buf;
         for (size_t base = 0; base < count; base += chunk) {
             const size_t n = std::min(chunk, count - base);
             buf.resize(n);
-            run(n, [&](size_t i) { buf[i] = produce(base + i); });
+            produce_chunk(base, buf);
             for (size_t i = 0; i < n; ++i)
                 consume(base + i, buf[i]);
         }

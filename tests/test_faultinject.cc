@@ -1,14 +1,17 @@
 /**
  * @file
  * Fault-injection tests: deterministic replay of campaign rows,
- * outcome completeness, transience of fetch-word flips, and bounds on
- * drawn injections.
+ * outcome completeness, transience of fetch-word flips, bounds on
+ * drawn injections, and the forked campaign (every injected run
+ * branches off one advancing golden run) against from-scratch runs
+ * on every engine.
  */
 
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
 #include "core/experiments.hh"
+#include "jit/arena.hh"
 #include "sim/cpu.hh"
 #include "sim/faultinject.hh"
 #include "support/rng.hh"
@@ -212,14 +215,147 @@ expectRowsEq(const std::vector<core::FaultCampaignRow> &a,
             << what << " " << a[i].name;
         EXPECT_EQ(a[i].replayedInsts, b[i].replayedInsts)
             << what << " " << a[i].name;
+        EXPECT_EQ(a[i].injections, b[i].injections)
+            << what << " " << a[i].name;
         for (unsigned c = 0; c < core::NumFaultOutcomes; ++c) {
             EXPECT_EQ(a[i].byOutcome[c], b[i].byOutcome[c])
                 << what << " " << a[i].name << " outcome " << c;
             EXPECT_EQ(a[i].recovered[c], b[i].recovered[c])
                 << what << " " << a[i].name << " recovered " << c;
+            for (unsigned t = 0; t < core::NumFaultTargets; ++t) {
+                EXPECT_EQ(a[i].byTarget[t][c], b[i].byTarget[t][c])
+                    << what << " " << a[i].name << " target " << t
+                    << " outcome " << c;
+                EXPECT_EQ(a[i].recoveredByTarget[t][c],
+                          b[i].recoveredByTarget[t][c])
+                    << what << " " << a[i].name << " target " << t
+                    << " recovered " << c;
+            }
         }
     }
 }
+
+/** Add the tallies of `part` (a sub-range's rows) into `sum`. */
+void
+addRows(std::vector<core::FaultCampaignRow> &sum,
+        const std::vector<core::FaultCampaignRow> &part)
+{
+    ASSERT_EQ(sum.size(), part.size());
+    for (size_t i = 0; i < sum.size(); ++i) {
+        sum[i].name = part[i].name;
+        sum[i].injections += part[i].injections;
+        if (part[i].injections != 0)
+            sum[i].baselineInsts = part[i].baselineInsts;
+        for (unsigned c = 0; c < core::NumFaultOutcomes; ++c) {
+            sum[i].byOutcome[c] += part[i].byOutcome[c];
+            for (unsigned t = 0; t < core::NumFaultTargets; ++t)
+                sum[i].byTarget[t][c] += part[i].byTarget[t][c];
+        }
+    }
+}
+
+/**
+ * The plain campaign forks every injected run off one advancing
+ * golden run per unit of slots. Each case runs on one engine and
+ * checks the forked grids against from-scratch runs of every slot.
+ */
+class ForkedCampaign : public ::testing::TestWithParam<const char *>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (std::string(GetParam()) == "jit" && !jit::hostSupported())
+            GTEST_SKIP() << "no templates for " << jit::hostArchName();
+        ASSERT_TRUE(core::setCampaignEngine(GetParam()));
+    }
+
+    // The campaign engine is process-wide: leave the Cpu defaults.
+    void TearDown() override { core::setCampaignEngine("superblock"); }
+};
+
+TEST_P(ForkedCampaign, RunUntilAtTheCurrentCountPausesWithoutAStep)
+{
+    // A slot whose flip time equals the golden run's position (time 0
+    // on a fresh load, or a duplicate time) must fork right there.
+    sim::Cpu cpu(core::campaignCpuOptions());
+    cpu.load(assembleOrDie(R"(
+main:   mov   1, r16
+        mov   2, r16
+        mov   3, r16
+        halt
+)"));
+    const uint32_t entry = cpu.pc();
+    sim::ExecResult r = cpu.runUntil(0);
+    EXPECT_EQ(r.reason, sim::StopReason::Paused);
+    EXPECT_EQ(cpu.stats().instructions, 0u);
+    EXPECT_EQ(cpu.stats().cycles, 0u);
+    EXPECT_EQ(cpu.pc(), entry);
+
+    r = cpu.runUntil(2);
+    ASSERT_EQ(r.reason, sim::StopReason::Paused);
+    ASSERT_EQ(cpu.stats().instructions, 2u);
+    const uint64_t cycles = cpu.stats().cycles;
+    const uint32_t pc = cpu.pc();
+    r = cpu.runUntil(2);
+    EXPECT_EQ(r.reason, sim::StopReason::Paused);
+    EXPECT_EQ(cpu.stats().instructions, 2u);
+    EXPECT_EQ(cpu.stats().cycles, cycles);
+    EXPECT_EQ(cpu.pc(), pc);
+    EXPECT_EQ(cpu.reg(16), 2u);
+    EXPECT_TRUE(cpu.run().halted());
+}
+
+TEST_P(ForkedCampaign, EverySlotAndGridMatchesFromScratchRuns)
+{
+    constexpr unsigned Inj = 4;
+    constexpr uint64_t Seed = 1981;
+    const uint64_t total = uint64_t{workloads::allWorkloads().size()} * Inj;
+
+    // Each slot alone: its forked unit holds just that slot, and its
+    // outcome and target equal faultCampaignRepro's from-scratch run.
+    std::vector<core::FaultCampaignRow> scratch(
+        workloads::allWorkloads().size());
+    for (uint64_t slot = 0; slot < total; ++slot) {
+        const auto one =
+            core::faultCampaignRange(Inj, Seed, slot, slot + 1, 1, true);
+        const core::FaultRepro repro =
+            core::faultCampaignRepro(slot, Inj, Seed);
+        const core::FaultCampaignRow &row = one[slot / Inj];
+        EXPECT_EQ(row.name, repro.workload);
+        EXPECT_EQ(row.injections, 1u) << "slot " << slot;
+        EXPECT_EQ(row.byTarget[repro.target]
+                              [static_cast<unsigned>(repro.outcome)],
+                  1u)
+            << "slot " << slot << ": " << repro.note;
+        addRows(scratch, one);
+    }
+
+    // Whole grids fork many slots per unit (units split differently
+    // at each job count and in each mode) and must sum to the same
+    // tallies as the from-scratch slots.
+    for (unsigned jobs : {1u, 4u})
+        for (bool streaming : {false, true})
+            expectRowsEq(scratch,
+                         core::faultCampaign(Inj, Seed, jobs, streaming),
+                         "jobs=" + std::to_string(jobs) +
+                             (streaming ? " streaming" : " flat"));
+
+    // A partition whose ranges cut workloads mid-grid.
+    std::vector<core::FaultCampaignRow> parts(scratch.size());
+    const uint64_t cuts[] = {0, 2, 7, 13, 30, 31, 45, total};
+    for (size_t i = 0; i + 1 < std::size(cuts); ++i)
+        addRows(parts, core::faultCampaignRange(Inj, Seed, cuts[i],
+                                                cuts[i + 1], 1, true));
+    expectRowsEq(scratch, parts, "partition");
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ForkedCampaign,
+                         ::testing::Values("ref", "threaded",
+                                           "superblock", "jit"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
 
 TEST(Recovery, CampaignDeterministicAcrossJobsAndModes)
 {
